@@ -27,6 +27,18 @@ IntervalView IntervalView::FromIndex(const service::ShardedIndex& index,
   IntervalView v;
   v.index_ = &index;
   v.locs_.assign(index.num_polygons(), Loc{});
+  // Exact upper bounds, so the flattened lists (millions of entries on a
+  // census-sized index) never pay a grow-and-copy.
+  size_t num_cells = 0, num_refs = 0;
+  for (int s = 0; s < index.num_shards(); ++s) {
+    const act::PolygonIndex* shard = index.shard_index(s);
+    if (shard == nullptr) continue;
+    const act::SuperCovering& sc = shard->covering();
+    num_cells += sc.size();
+    for (size_t i = 0; i < sc.size(); ++i) num_refs += sc.refs(i).size();
+  }
+  v.intervals_.reserve(num_cells);
+  v.refs_.reserve(num_refs);
   const uint64_t ns = static_cast<uint64_t>(index.num_shards());
   for (int s = 0; s < index.num_shards(); ++s) {
     const act::PolygonIndex* shard = index.shard_index(s);
@@ -85,38 +97,53 @@ void IntervalView::Coarsen(uint32_t cells_per_polygon) {
   const uint64_t target = std::max<uint64_t>(live * cells_per_polygon, 64);
   if (intervals_.size() <= target) return;
 
-  // An interval fits a bucket iff lo and hi share the top (64 - shift)
-  // bits. Source intervals are (shard-clipped) aligned quadtree cells, so
-  // a cell at depth >= the bucket depth always fits; a shallower cell
-  // spans whole buckets and passes through unmerged — it is already
-  // coarse, and splitting it would *grow* the list. Pass-throughs keep
-  // disjointness: intervals are sorted and disjoint, members of one
-  // bucket are consecutive, and a merged span never reaches past its last
-  // member's hi, so output ranges stay sorted and disjoint.
-  auto count_at = [&](int shift) {
-    size_t count = 0;
-    uint64_t cur_bucket = 0;
-    bool in_run = false;
-    for (const Interval& iv : intervals_) {
-      if ((iv.lo >> shift) != (iv.hi >> shift)) {  // spans buckets
-        ++count;
-        in_run = false;
-        continue;
-      }
-      const uint64_t bucket = iv.lo >> shift;
-      if (!in_run || bucket != cur_bucket) {
-        ++count;
-        cur_bucket = bucket;
-        in_run = true;
-      }
+  // Finest bucket depth (smallest even shift, two bits per quadtree level)
+  // that meets the budget; 62 when even shift 60 does not (shifting u64 by
+  // 64 is UB). CountAtShift never increases with the shift — every group
+  // at shift s lies inside one group at s + 2 — so a binary search over
+  // the 31 candidate depths finds the same shift as a linear scan in at
+  // most five passes instead of up to thirty.
+  int lo = 1, hi = 31;  // shift = 2 * level
+  while (lo < hi) {
+    const int mid = (lo + hi) / 2;
+    if (CountAtShift(2 * mid) <= target) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
     }
-    return count;
-  };
-  // Finest bucket depth (smallest shift) that meets the budget; two bits
-  // per quadtree level. 62 caps the scan (shifting u64 by 64 is UB).
-  int shift = 2;
-  while (shift < 62 && count_at(shift) > target) shift += 2;
+  }
+  MergeAt(2 * lo);
+}
 
+// An interval fits a bucket iff lo and hi share the top (64 - shift) bits.
+// Source intervals are (shard-clipped) aligned quadtree cells, so a cell at
+// depth >= the bucket depth always fits; a shallower cell spans whole
+// buckets and passes through unmerged — it is already coarse, and
+// splitting it would *grow* the list.
+size_t IntervalView::CountAtShift(int shift) const {
+  size_t count = 0;
+  uint64_t cur_bucket = 0;
+  bool in_run = false;
+  for (const Interval& iv : intervals_) {
+    if ((iv.lo >> shift) != (iv.hi >> shift)) {  // spans buckets
+      ++count;
+      in_run = false;
+      continue;
+    }
+    const uint64_t bucket = iv.lo >> shift;
+    if (!in_run || bucket != cur_bucket) {
+      ++count;
+      cur_bucket = bucket;
+      in_run = true;
+    }
+  }
+  return count;
+}
+
+// Pass-throughs keep disjointness: intervals are sorted and disjoint,
+// members of one bucket are consecutive, and a merged span never reaches
+// past its last member's hi, so output ranges stay sorted and disjoint.
+void IntervalView::MergeAt(int shift) {
   std::vector<Interval> out_intervals;
   std::vector<Ref> out_refs;
   out_refs.reserve(refs_.size());

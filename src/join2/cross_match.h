@@ -104,8 +104,9 @@ struct CrossMatchStats {
 /// to the polygon geometry and its edge-grid accelerator.
 ///
 /// Holds pointers into the source index: the caller must keep the index
-/// (typically an epoch-pinned registry snapshot) alive for the view's
-/// lifetime.
+/// (typically an epoch-pinned registry snapshot) alive while it uses the
+/// view. A view may outlive its index as long as nothing reads it after
+/// the index is gone (DatasetCrossMatcher's memo relies on this).
 class IntervalView {
  public:
   struct Ref {
@@ -151,10 +152,16 @@ class IntervalView {
   const geom::EdgeGrid* edge_grid(uint32_t gid) const;
 
  private:
+  friend struct IntervalViewTestPeer;
+
   /// Merges runs of intervals that share an aligned Hilbert bucket until
   /// the view holds at most ~cells_per_polygon intervals per live polygon.
   /// See kDefaultCellsPerPolygon for the rationale and exactness argument.
   void Coarsen(uint32_t cells_per_polygon);
+  /// Interval count MergeAt(shift) would produce.
+  size_t CountAtShift(int shift) const;
+  /// Merges each run of intervals inside one aligned 2^shift-id bucket.
+  void MergeAt(int shift);
 
   /// Where gid's geometry lives in the source index (any shard indexing it).
   struct Loc {
@@ -169,11 +176,12 @@ class IntervalView {
 };
 
 /// Wall time per crossmatch phase, microseconds — the request-tracing
-/// seam, mirroring ShardedIndex::JoinPhaseTimes. pin covers flattening +
-/// coarsening both probe surfaces (CrossMatchIndexes only; CrossMatch over
-/// prebuilt views reports 0), descend covers the synchronized descent
-/// through candidate dedup, refine covers predicate evaluation and output
-/// assembly.
+/// seam, mirroring ShardedIndex::JoinPhaseTimes. pin covers obtaining both
+/// probe surfaces: the flatten + coarsen in CrossMatchIndexes, the memo
+/// lookup (plus the build on a miss) in DatasetCrossMatcher; CrossMatch
+/// over prebuilt views leaves it untouched. descend covers the
+/// synchronized descent through candidate dedup, refine covers predicate
+/// evaluation and output assembly.
 struct CrossMatchPhaseTimes {
   double pin_us = 0;
   double descend_us = 0;

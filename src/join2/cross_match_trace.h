@@ -21,7 +21,7 @@ enum class CrossMatchStage : uint8_t {
   kAdmission = 0,  // admission-control decision, both sides charged
   kDecode = 1,     // wire payload -> CrossMatchRequest
   kQueue = 2,      // service-queue wait until a worker picks it up
-  kPin = 3,        // snapshot pin + IntervalView flatten/coarsen, both sides
+  kPin = 3,        // memoized IntervalView lookup, both sides (+ build on a miss)
   kDescend = 4,    // synchronized dual-trie descent + candidate dedup
   kRefine = 5,     // polygon-polygon predicate evaluation + output assembly
   kStream = 6,     // PAIR_RESULT chunk encode + delivery to the event loop

@@ -1,5 +1,6 @@
 #include "join2/dataset_cross_matcher.h"
 
+#include <exception>
 #include <utility>
 
 #include "util/timer.h"
@@ -42,6 +43,9 @@ void DatasetCrossMatcher::RegisterMetrics() {
   pruned_span_pairs_total_ =
       m->GetCounter("crossmatch_pruned_span_pairs_total",
                     "Span pairs pruned as disjoint during the descent");
+  view_builds_total_ = m->GetCounter(
+      "crossmatch_view_builds_total",
+      "Snapshot probe surfaces (IntervalViews) built on a memo miss");
   last_depth_ = m->GetGauge("crossmatch_last_descent_depth",
                             "Deepest span pair of the last crossmatch");
   service_time_us_ = m->GetHistogram("crossmatch_service_time_us",
@@ -62,6 +66,62 @@ CrossMatchStatus ValidateSide(const service::ServiceCatalog& catalog,
 
 }  // namespace
 
+DatasetCrossMatcher::ViewPtr DatasetCrossMatcher::ViewFor(
+    uint16_t dataset_id, const service::ServiceCatalog::Snapshot& snapshot) {
+  // Declared before the lock: if this call holds the last reference to a
+  // retired snapshot or view, it is freed after memo_mu_ is released.
+  service::ServiceCatalog::Snapshot cached;
+  std::shared_future<ViewPtr> view;
+  std::promise<ViewPtr> build;
+  bool hit = false;
+  {
+    std::lock_guard<std::mutex> lock(memo_mu_);
+    ViewSlot& slot = memo_[dataset_id];
+    cached = slot.snapshot.lock();
+    hit = cached == snapshot;
+    if (hit) {
+      view = slot.view;
+    } else {
+      view = std::exchange(slot.view, build.get_future().share());
+      slot.snapshot = snapshot;
+    }
+  }
+  if (hit) return view.get();  // blocks only while the build is in flight
+
+  if (view_builds_total_ != nullptr) view_builds_total_->Inc();
+  ViewPtr built;
+  try {
+    built = std::make_shared<const IntervalView>(
+        IntervalView::FromIndex(*snapshot));
+  } catch (...) {
+    // Waiters rethrow the failure; the slot is forgotten so the next
+    // request retries the build instead of rethrowing forever.
+    build.set_exception(std::current_exception());
+    std::lock_guard<std::mutex> lock(memo_mu_);
+    auto it = memo_.find(dataset_id);
+    if (it != memo_.end() && it->second.snapshot.lock() == snapshot) {
+      memo_.erase(it);
+    }
+    throw;
+  }
+  build.set_value(built);
+  return built;
+}
+
+void DatasetCrossMatcher::ReleaseView(uint16_t dataset_id) {
+  ViewSlot released;  // freed after the unlock
+  std::lock_guard<std::mutex> lock(memo_mu_);
+  auto it = memo_.find(dataset_id);
+  if (it == memo_.end()) return;
+  released = std::move(it->second);
+  memo_.erase(it);
+}
+
+size_t DatasetCrossMatcher::memoized_views() const {
+  std::lock_guard<std::mutex> lock(memo_mu_);
+  return memo_.size();
+}
+
 CrossMatchOutcome DatasetCrossMatcher::Execute(const CrossMatchRequest& req,
                                                double queue_wait_us) {
   util::WallTimer timer;
@@ -71,6 +131,7 @@ CrossMatchOutcome DatasetCrossMatcher::Execute(const CrossMatchRequest& req,
   for (uint16_t id : {req.dataset_a, req.dataset_b}) {
     const CrossMatchStatus verdict = ValidateSide(catalog, id);
     if (verdict != CrossMatchStatus::kOk) {
+      if (verdict == CrossMatchStatus::kDatasetDropped) ReleaseView(id);
       out.status = verdict;
       out.offending_dataset = id;
       if (rejected_total_ != nullptr) rejected_total_->Inc();
@@ -85,13 +146,22 @@ CrossMatchOutcome DatasetCrossMatcher::Execute(const CrossMatchRequest& req,
   service::ServiceCatalog::Snapshot snap_b =
       catalog.Find(req.dataset_b)->Acquire(&out.epoch_b);
 
+  // Pin stage: memo lookups, plus the build on a miss. Each view's raw
+  // index_ pointer is dereferenced only below, while the snapshot it was
+  // built from is pinned by snap_a / snap_b — a hit requires the slot's
+  // snapshot to *be* the pinned one, so a memoized view can outlive its
+  // snapshot in the slot but is never used past it.
+  util::WallTimer pin_timer;
+  const ViewPtr view_a = ViewFor(req.dataset_a, snap_a);
+  const ViewPtr view_b = ViewFor(req.dataset_b, snap_b);
+  CrossMatchPhaseTimes phases;
+  phases.pin_us = pin_timer.ElapsedSeconds() * 1e6;
+
   CrossMatchOptions opts;
   opts.mode = req.mode;
   opts.threads = service_->options().threads_per_join;
-  CrossMatchPhaseTimes phases;
-  out.pairs = CrossMatchIndexes(*snap_a, *snap_b, opts,
-                                service_->shared_pool(), &out.stats,
-                                req.trace ? &phases : nullptr);
+  out.pairs = CrossMatch(*view_a, *view_b, opts, service_->shared_pool(),
+                         &out.stats, req.trace ? &phases : nullptr);
   out.service_us = timer.ElapsedSeconds() * 1e6;
 
   if (req.trace) {
@@ -116,7 +186,8 @@ CrossMatchOutcome DatasetCrossMatcher::Execute(const CrossMatchRequest& req,
   service_->ChargeDatasetServed(req.dataset_b, snap_b->num_polygons());
   // Slow-query entry: dataset_id names the a-side (the routed side on the
   // wire), num_points carries the result-pair count, epoch the a-side
-  // epoch — documented in docs/observability-facing docs.
+  // epoch — documented in docs/observability.md, "JOIN_DATASETS crossmatch
+  // tracing".
   service_->RecordSlowQuery({.request_id = req.request_id,
                              .dataset_id = req.dataset_a,
                              .num_points = out.stats.result_pairs,

@@ -18,12 +18,24 @@
 // threads_per_join-wide pool), both datasets are charged through the
 // per-dataset traffic counters, completions feed the slow-query log, and
 // per-join figures land in the service's MetricsRegistry.
+//
+// Probe surfaces are memoized per snapshot: the first crossmatch that
+// pins a dataset's current snapshot builds its IntervalView (the ~0.4 s
+// flatten + coarsen of a census-sized index), and every later request
+// that pins the *same* snapshot object reuses it. The memo key is
+// snapshot identity, never the epoch number, so a swap, delta, warm
+// restart or drop can never be answered from a stale view. See
+// docs/spatial_join.md "Serving" for lifetime and sizing.
 
 #ifndef ACTJOIN_JOIN2_DATASET_CROSS_MATCHER_H_
 #define ACTJOIN_JOIN2_DATASET_CROSS_MATCHER_H_
 
 #include <cstdint>
 #include <functional>
+#include <future>
+#include <memory>
+#include <mutex>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -95,12 +107,34 @@ class DatasetCrossMatcher {
       const CrossMatchRequest& req,
       std::function<void(CrossMatchOutcome)> done);
 
+  /// Datasets whose probe surface is currently memoized (test and
+  /// diagnostics hook; a dropped dataset's slot is released).
+  size_t memoized_views() const;
+
  private:
+  using ViewPtr = std::shared_ptr<const IntervalView>;
+
+  /// One memo slot per dataset id. `snapshot` is weak so the memo never
+  /// extends a retired snapshot's life; `view` is shared so concurrent
+  /// misses on one snapshot wait on a single in-flight build.
+  struct ViewSlot {
+    std::weak_ptr<const service::ShardedIndex> snapshot;
+    std::shared_future<ViewPtr> view;
+  };
+
   CrossMatchOutcome Execute(const CrossMatchRequest& req,
                             double queue_wait_us);
+  /// `snapshot`'s probe surface: the memoized view when the slot holds
+  /// this very snapshot, else a fresh build that replaces the slot.
+  ViewPtr ViewFor(uint16_t dataset_id,
+                  const service::ServiceCatalog::Snapshot& snapshot);
+  void ReleaseView(uint16_t dataset_id);
   void RegisterMetrics();
 
   service::JoinService* service_;
+
+  mutable std::mutex memo_mu_;
+  std::unordered_map<uint16_t, ViewSlot> memo_;  // guarded by memo_mu_
 
   // Owned-instrument pointers are stable for the registry's lifetime;
   // null when metrics are disabled.
@@ -110,6 +144,7 @@ class DatasetCrossMatcher {
   util::Counter* refined_pairs_total_ = nullptr;
   util::Counter* result_pairs_total_ = nullptr;
   util::Counter* pruned_span_pairs_total_ = nullptr;
+  util::Counter* view_builds_total_ = nullptr;
   util::Gauge* last_depth_ = nullptr;
   util::Histogram* service_time_us_ = nullptr;
 };

@@ -374,6 +374,42 @@ TEST(CrossMatchWireServer, TracedCrossMatchStagesTileWallTime) {
   EXPECT_GT(reply.trace.at(CrossMatchStage::kStream), 0.0);
 }
 
+TEST(CrossMatchWireServer, RepeatedRequestsReuseMemoizedViews) {
+  // The served path builds each snapshot's probe surface once: repeated
+  // JOIN_DATASETS requests are answered from the memoized views, byte
+  // for byte equal to the in-process reference, stats tail included.
+  ServerFixture fx;
+  std::string error;
+  ASSERT_TRUE(fx.Start(&error)) << error;
+  JoinClient client;
+  ASSERT_TRUE(client.Connect(fx.server->host(), fx.server->port(), &error))
+      << error;
+  uint64_t epoch_a = 0, epoch_b = 0;
+  auto snap_a = fx.service->catalog().Find(fx.id_a)->Acquire(&epoch_a);
+  auto snap_b = fx.service->catalog().Find(fx.id_b)->Acquire(&epoch_b);
+  for (int i = 0; i < 6; ++i) {
+    const uint8_t mode = static_cast<uint8_t>(i % 2);
+    join2::CrossMatchStats want_stats;
+    const auto want = join2::CrossMatchIndexes(
+        *snap_a, *snap_b, {.mode = static_cast<CrossMatchMode>(mode)}, nullptr,
+        &want_stats);
+    JoinClient::CrossMatchReply reply =
+        client.CrossMatch(fx.id_a, {.dataset_b = fx.id_b, .mode = mode});
+    ASSERT_TRUE(reply.ok) << reply.message;
+    EXPECT_EQ(reply.pairs, want);
+    EXPECT_EQ(reply.stats.candidate_pairs, want_stats.candidate_pairs);
+    EXPECT_EQ(reply.stats.refined_pairs, want_stats.refined_pairs);
+    EXPECT_EQ(reply.stats.pruned_pairs, want_stats.pruned_pairs);
+    EXPECT_EQ(reply.stats.max_depth, want_stats.max_depth);
+    EXPECT_EQ(reply.stats.epoch_a, epoch_a);
+    EXPECT_EQ(reply.stats.epoch_b, epoch_b);
+  }
+  EXPECT_EQ(fx.service->metrics()
+                ->GetCounter("crossmatch_view_builds_total", "")
+                ->value(),
+            2u);
+}
+
 TEST(CrossMatchWireServer, TypedRejectsNameTheOffendingSide) {
   ServerFixture fx;
   std::string error;

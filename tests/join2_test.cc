@@ -12,10 +12,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <future>
+#include <map>
 #include <memory>
+#include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -28,10 +32,21 @@
 #include "join2/dataset_cross_matcher.h"
 #include "service/join_service.h"
 #include "service/sharded_index.h"
+#include "util/metrics.h"
 #include "workloads/datasets.h"
 #include "workloads/polygon_gen.h"
 
 namespace actjoin::join2 {
+
+/// Reaches IntervalView's coarsening steps so the test can rebuild the
+/// linear-scan shift search the binary search replaced.
+struct IntervalViewTestPeer {
+  static size_t CountAtShift(const IntervalView& v, int shift) {
+    return v.CountAtShift(shift);
+  }
+  static void MergeAt(IntervalView* v, int shift) { v->MergeAt(shift); }
+};
+
 namespace {
 
 using geo::Grid;
@@ -267,6 +282,74 @@ TEST(Join2CrossMatch, IntervalViewIsSortedAndDisjoint) {
   }
 }
 
+/// FromIndex's coarsening with the bucket shift found by the original
+/// linear scan (shift 2, 4, ... until the budget fits; 62 if none does).
+IntervalView LinearScanView(const ShardedIndex& index, uint32_t budget) {
+  IntervalView v = IntervalView::FromIndex(index, 0);
+  if (budget == 0) return v;
+  size_t live = 0;
+  for (uint32_t gid = 0; gid < v.num_polygons(); ++gid) {
+    live += v.polygon(gid) != nullptr ? 1 : 0;
+  }
+  const uint64_t target = std::max<uint64_t>(live * budget, 64);
+  if (v.size() <= target) return v;
+  int shift = 2;
+  while (shift < 62 && IntervalViewTestPeer::CountAtShift(v, shift) > target) {
+    shift += 2;
+  }
+  IntervalViewTestPeer::MergeAt(&v, shift);
+  return v;
+}
+
+void ExpectViewsIdentical(const IntervalView& got, const IntervalView& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    const IntervalView::Interval& g = got.interval(i);
+    const IntervalView::Interval& w = want.interval(i);
+    ASSERT_EQ(g.lo, w.lo) << "interval " << i;
+    ASSERT_EQ(g.hi, w.hi) << "interval " << i;
+    ASSERT_EQ(g.refs_begin, w.refs_begin) << "interval " << i;
+    ASSERT_EQ(g.refs_end, w.refs_end) << "interval " << i;
+    for (size_t r = 0; r < got.refs(g).size(); ++r) {
+      ASSERT_EQ(got.refs(g)[r].gid, want.refs(w)[r].gid);
+      ASSERT_EQ(got.refs(g)[r].interior, want.refs(w)[r].interior);
+    }
+  }
+  ASSERT_EQ(got.num_polygons(), want.num_polygons());
+  for (uint32_t gid = 0; gid < got.num_polygons(); ++gid) {
+    EXPECT_EQ(got.polygon(gid), want.polygon(gid));
+  }
+}
+
+TEST(Join2CrossMatch, CoarsenShiftSearchMatchesLinearScan) {
+  // The budget's bucket shift is binary-searched (the per-shift interval
+  // count never rises with the shift); the views must be byte-identical
+  // to the linear scan's at full resolution (0), the tightest budget (1),
+  // the default (16) and one looser than any covering here (1000).
+  Grid grid;
+  std::vector<geom::Polygon> tiny = {CenteredSquare(0.05),
+                                     CenteredSquare(0.11)};
+  struct Case {
+    const char* name;
+    std::vector<geom::Polygon> polygons;
+  };
+  const Case cases[] = {{"boroughs", wl::Boroughs(0.25).polygons},
+                        {"census", wl::Census(0.02).polygons},
+                        {"tiny", tiny}};
+  for (const Case& c : cases) {
+    ShardedIndex index = ShardedIndex::Build(c.polygons, grid, Sharding(4));
+    const size_t full = IntervalView::FromIndex(index, 0).size();
+    for (uint32_t budget : {0u, 1u, 16u, 1000u}) {
+      SCOPED_TRACE(std::string(c.name) + " budget=" + std::to_string(budget));
+      IntervalView got = IntervalView::FromIndex(index, budget);
+      ExpectViewsIdentical(got, LinearScanView(index, budget));
+      if (budget == 1 && c.polygons.size() > 64) {
+        EXPECT_LT(got.size(), full) << "budget 1 must coarsen";
+      }
+    }
+  }
+}
+
 // --- The shared ordering contract (see act::ExecuteJoinPairs) --------------
 
 TEST(Join2OrderingContract, AllPairProducersSortedUnique) {
@@ -446,7 +529,240 @@ TEST(Join2Matcher, MutationsChangeTheJoinedEpoch) {
                                  skip, {}));
 }
 
+// --- Per-snapshot view memo ------------------------------------------------
+
+uint64_t ViewBuilds(JoinService& service) {
+  return service.metrics()
+      ->GetCounter("crossmatch_view_builds_total", "")
+      ->value();
+}
+
+/// A matcher reply must equal CrossMatchIndexes over the snapshots it
+/// pinned, pairs and stats alike.
+void ExpectMatchesReference(const CrossMatchOutcome& got,
+                            const ShardedIndex& a, const ShardedIndex& b,
+                            CrossMatchMode mode) {
+  ASSERT_EQ(got.status, CrossMatchStatus::kOk);
+  CrossMatchStats want_stats;
+  const Pairs want = CrossMatchIndexes(a, b, {.mode = mode}, nullptr,
+                                       &want_stats);
+  EXPECT_EQ(got.pairs, want) << ToString(mode);
+  ExpectStatsEqual(got.stats, want_stats);
+}
+
+TEST(Join2ViewMemo, RepeatedRequestsBuildEachSideOnce) {
+  TwoDatasetService fx;
+  DatasetCrossMatcher matcher(fx.service.get());
+  uint64_t epoch_a = 0, epoch_b = 0;
+  auto snap_a = fx.service->catalog().Find(fx.id_a)->Acquire(&epoch_a);
+  auto snap_b = fx.service->catalog().Find(fx.id_b)->Acquire(&epoch_b);
+  EXPECT_EQ(ViewBuilds(*fx.service), 0u) << "views are built lazily";
+  for (int i = 0; i < 6; ++i) {
+    const CrossMatchMode mode =
+        i % 2 == 0 ? CrossMatchMode::kIntersects : CrossMatchMode::kContains;
+    CrossMatchOutcome out = matcher.Run(
+        {.dataset_a = fx.id_a, .dataset_b = fx.id_b, .mode = mode});
+    ExpectMatchesReference(out, *snap_a, *snap_b, mode);
+    EXPECT_EQ(out.epoch_a, epoch_a);
+    EXPECT_EQ(out.epoch_b, epoch_b);
+  }
+  EXPECT_EQ(ViewBuilds(*fx.service), 2u);
+  EXPECT_EQ(matcher.memoized_views(), 2u);
+
+  // A self-join reuses the a-side view for both sides.
+  CrossMatchOutcome self = matcher.Run(
+      {.dataset_a = fx.id_a, .dataset_b = fx.id_a});
+  ExpectMatchesReference(self, *snap_a, *snap_a, CrossMatchMode::kIntersects);
+  EXPECT_EQ(ViewBuilds(*fx.service), 2u);
+}
+
+TEST(Join2ViewMemo, DeltaRebuildsOnlyTheMutatedSide) {
+  TwoDatasetService fx;
+  DatasetCrossMatcher matcher(fx.service.get());
+  const service::ServiceCatalog& catalog = fx.service->catalog();
+  CrossMatchRequest req{.dataset_a = fx.id_a, .dataset_b = fx.id_b};
+  ASSERT_EQ(matcher.Run(req).status, CrossMatchStatus::kOk);
+  ASSERT_EQ(ViewBuilds(*fx.service), 2u);
+
+  ASSERT_EQ(fx.service->AddPolygons(fx.id_b, {CenteredSquare(0.07)}).status,
+            service::MutationStatus::kApplied);
+  for (CrossMatchMode mode :
+       {CrossMatchMode::kIntersects, CrossMatchMode::kContains}) {
+    req.mode = mode;
+    CrossMatchOutcome out = matcher.Run(req);
+    ExpectMatchesReference(out, *catalog.Find(fx.id_a)->Acquire(),
+                           *catalog.Find(fx.id_b)->Acquire(), mode);
+  }
+  EXPECT_EQ(ViewBuilds(*fx.service), 3u) << "only the b-side rebuilds";
+
+  ASSERT_EQ(fx.service->RemovePolygons(fx.id_a, {0, 3}).status,
+            service::MutationStatus::kApplied);
+  for (CrossMatchMode mode :
+       {CrossMatchMode::kIntersects, CrossMatchMode::kContains}) {
+    req.mode = mode;
+    CrossMatchOutcome out = matcher.Run(req);
+    ExpectMatchesReference(out, *catalog.Find(fx.id_a)->Acquire(),
+                           *catalog.Find(fx.id_b)->Acquire(), mode);
+  }
+  EXPECT_EQ(ViewBuilds(*fx.service), 4u) << "only the a-side rebuilds";
+}
+
+TEST(Join2ViewMemo, DropReleasesTheSlotAndResurrectionRebuilds) {
+  TwoDatasetService fx;
+  DatasetCrossMatcher matcher(fx.service.get());
+  CrossMatchRequest req{.dataset_a = fx.id_a, .dataset_b = fx.id_b};
+  ASSERT_EQ(matcher.Run(req).status, CrossMatchStatus::kOk);
+  ASSERT_EQ(matcher.memoized_views(), 2u);
+
+  ASSERT_EQ(fx.service->DropDataset(fx.id_b).status,
+            service::MutationStatus::kApplied);
+  CrossMatchOutcome out = matcher.Run(req);
+  EXPECT_EQ(out.status, CrossMatchStatus::kDatasetDropped);
+  EXPECT_EQ(out.offending_dataset, fx.id_b);
+  EXPECT_EQ(matcher.memoized_views(), 1u) << "dropped side's slot released";
+  EXPECT_EQ(ViewBuilds(*fx.service), 2u);
+
+  // A full publish resurrects the id with a new snapshot: a fresh build.
+  Grid grid;
+  std::vector<geom::Polygon> pb2 = Partition(4, 4, 353);
+  fx.service->SwapIndex(fx.id_b, BuildShared(pb2, grid, 2));
+  out = matcher.Run(req);
+  ASSERT_EQ(out.status, CrossMatchStatus::kOk);
+  EXPECT_EQ(out.pairs,
+            BruteForceCrossMatch(fx.pa, pb2, CrossMatchMode::kIntersects));
+  EXPECT_EQ(ViewBuilds(*fx.service), 3u);
+  EXPECT_EQ(matcher.memoized_views(), 2u);
+}
+
 // --- Concurrency (runs under TSan in CI) -----------------------------------
+
+TEST(Join2Concurrency, ConcurrentMissesShareOneBuild) {
+  // Every thread's first request misses together; the late arrivals wait
+  // on the in-flight build instead of repeating it.
+  TwoDatasetService fx;
+  DatasetCrossMatcher matcher(fx.service.get());
+  CrossMatchRequest req{.dataset_a = fx.id_a, .dataset_b = fx.id_b};
+  std::atomic<bool> go{false};
+  std::vector<CrossMatchOutcome> outs(4);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < outs.size(); ++t) {
+    threads.emplace_back([&, t] {
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      outs[t] = matcher.Run(req);
+    });
+  }
+  go.store(true, std::memory_order_release);
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(ViewBuilds(*fx.service), 2u);
+  const CrossMatchOutcome want = matcher.Run(req);
+  for (const CrossMatchOutcome& out : outs) {
+    ASSERT_EQ(out.status, CrossMatchStatus::kOk);
+    EXPECT_EQ(out.pairs, want.pairs);
+  }
+}
+
+TEST(Join2Concurrency, MemoizedViewsRaceWithSwapsAndDeltas) {
+  // Crossmatches race a seeded sequence of full swaps and deltas on both
+  // sides. Every retired snapshot is released by the service while its
+  // view may still sit in a memo slot, so a stale-view reuse would read
+  // freed geometry (ASan) or a torn slot (TSan). The test keeps each
+  // published epoch's polygon state, not its snapshot — holding snapshots
+  // would keep retired ones alive and hide that use-after-free — and
+  // checks every reply against the brute-force oracle (which
+  // CrossMatchIndexes matches, asserted above) over the states of the
+  // epoch pair the reply reports.
+  TwoDatasetService fx;
+  DatasetCrossMatcher matcher(fx.service.get());
+  service::ServiceCatalog& catalog = fx.service->catalog();
+  using EpochKey = std::pair<uint16_t, uint64_t>;
+  std::map<EpochKey, std::vector<geom::Polygon>> states;
+  std::map<EpochKey, std::vector<uint32_t>> removed;
+  auto record = [&](uint16_t id, const std::vector<geom::Polygon>& polys,
+                    const std::vector<uint32_t>& skip) {
+    uint64_t epoch = 0;
+    catalog.Find(id)->Acquire(&epoch);
+    states[{id, epoch}] = polys;
+    removed[{id, epoch}] = skip;
+  };
+  std::vector<geom::Polygon> pa = fx.pa, pb = fx.pb;
+  std::vector<uint32_t> skip_a, skip_b;
+  record(fx.id_a, pa, skip_a);
+  record(fx.id_b, pb, skip_b);
+
+  struct Observed {
+    std::vector<CrossMatchOutcome> outs;
+    std::vector<CrossMatchMode> modes;
+  };
+  std::atomic<bool> stop{false};
+  std::vector<Observed> observed(3);
+  std::vector<std::thread> joiners;
+  for (size_t t = 0; t < observed.size(); ++t) {
+    joiners.emplace_back([&, t] {
+      const CrossMatchMode mode = t % 2 == 0 ? CrossMatchMode::kIntersects
+                                             : CrossMatchMode::kContains;
+      do {
+        observed[t].outs.push_back(matcher.Run(
+            {.dataset_a = fx.id_a, .dataset_b = fx.id_b, .mode = mode}));
+        observed[t].modes.push_back(mode);
+      } while (!stop.load(std::memory_order_relaxed));
+    });
+  }
+
+  Grid grid;
+  for (int step = 0; step < 6; ++step) {
+    const uint64_t seed = 7100 + static_cast<uint64_t>(step);
+    switch (step % 3) {
+      case 0: {  // full swap of the a-side
+        pa = Partition(4 + step % 2, 4, seed);
+        skip_a.clear();
+        fx.service->SwapIndex(fx.id_a, BuildShared(pa, grid, 3));
+        record(fx.id_a, pa, skip_a);
+        break;
+      }
+      case 1: {  // delta on the b-side
+        std::vector<geom::Polygon> add = {
+            CenteredSquare(0.02 + 0.01 * static_cast<double>(step))};
+        ASSERT_EQ(fx.service->AddPolygons(fx.id_b, add).status,
+                  service::MutationStatus::kApplied);
+        pb.push_back(add[0]);
+        record(fx.id_b, pb, skip_b);
+        break;
+      }
+      case 2: {  // delta on the a-side
+        const uint32_t victim = static_cast<uint32_t>(step);
+        ASSERT_EQ(fx.service->RemovePolygons(fx.id_a, {victim}).status,
+                  service::MutationStatus::kApplied);
+        skip_a.push_back(victim);
+        record(fx.id_a, pa, skip_a);
+        break;
+      }
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  stop.store(true);
+  for (auto& th : joiners) th.join();
+
+  std::map<std::tuple<uint64_t, uint64_t, CrossMatchMode>, Pairs> want;
+  for (const Observed& obs : observed) {
+    for (size_t i = 0; i < obs.outs.size(); ++i) {
+      const CrossMatchOutcome& out = obs.outs[i];
+      ASSERT_EQ(out.status, CrossMatchStatus::kOk);
+      const EpochKey ka{fx.id_a, out.epoch_a}, kb{fx.id_b, out.epoch_b};
+      ASSERT_TRUE(states.count(ka) && states.count(kb))
+          << "reply pinned an unpublished epoch";
+      const auto key = std::make_tuple(out.epoch_a, out.epoch_b, obs.modes[i]);
+      auto it = want.find(key);
+      if (it == want.end()) {
+        it = want.emplace(key, BruteForceCrossMatch(states[ka], states[kb],
+                                                    obs.modes[i], removed[ka],
+                                                    removed[kb]))
+                 .first;
+      }
+      EXPECT_EQ(out.pairs, it->second)
+          << "epochs " << out.epoch_a << "/" << out.epoch_b;
+    }
+  }
+}
 
 TEST(Join2Concurrency, CrossMatchesRaceWithMutations) {
   TwoDatasetService fx;
